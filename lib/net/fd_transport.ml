@@ -7,11 +7,25 @@ let header_bytes = 4
 
 let max_frame = 1 lsl 28 (* 256 MB: nothing in the protocol comes close *)
 
+(* Inbound bytes are read straight into [buf], one buffer per endpoint
+   for its lifetime: the unconsumed bytes are [len] bytes from
+   [start]. *)
 type endpoint = {
   write_fd : Unix.file_descr;
   read_fd : Unix.file_descr;
-  mutable pending : string; (* bytes read but not yet framed out *)
+  mutable buf : Bytes.t;
+  mutable start : int;
+  mutable len : int;
 }
+
+type reader = endpoint
+
+let chunk_len = 65536
+
+let new_endpoint ~write_fd ~read_fd =
+  { write_fd; read_fd; buf = Bytes.create chunk_len; start = 0; len = 0 }
+
+let reader fd = new_endpoint ~write_fd:fd ~read_fd:fd
 
 type t = {
   ch : Channel.t;
@@ -28,30 +42,38 @@ let endpoint t = function
 
 (* ---- byte-level plumbing ---- *)
 
-let be32_put len =
-  let b = Bytes.create header_bytes in
-  Bytes.set b 0 (Char.chr ((len lsr 24) land 0xff));
-  Bytes.set b 1 (Char.chr ((len lsr 16) land 0xff));
-  Bytes.set b 2 (Char.chr ((len lsr 8) land 0xff));
-  Bytes.set b 3 (Char.chr (len land 0xff));
+let frame payload =
+  let len = String.length payload in
+  if len > max_frame then raise (Oversized len);
+  let b = Bytes.create (header_bytes + len) in
+  Bytes.set_int32_be b 0 (Int32.of_int len);
+  Bytes.blit_string payload 0 b header_bytes len;
   b
 
-let be32_get s off =
-  (Char.code s.[off] lsl 24)
-  lor (Char.code s.[off + 1] lsl 16)
-  lor (Char.code s.[off + 2] lsl 8)
-  lor Char.code s.[off + 3]
+(* Room for one more [chunk_len] read after the unconsumed bytes: slide
+   them to the front when that frees enough space, otherwise grow
+   geometrically, so an n-byte frame costs O(n) amortized. *)
+let reserve ep =
+  let cap = Bytes.length ep.buf in
+  if ep.start + ep.len + chunk_len > cap then begin
+    let buf =
+      if ep.len + chunk_len <= cap then ep.buf
+      else Bytes.create (max (2 * cap) (ep.len + chunk_len))
+    in
+    Bytes.blit ep.buf ep.start buf 0 ep.len;
+    ep.buf <- buf;
+    ep.start <- 0
+  end
 
 (* Read whatever is available right now without blocking; true iff the
    peer has closed its end. *)
-let drain_into ep =
-  let chunk_len = 65536 in
-  let chunk = Bytes.create chunk_len in
+let fill ep =
   let rec loop () =
-    match Unix.read ep.read_fd chunk 0 chunk_len with
+    reserve ep;
+    match Unix.read ep.read_fd ep.buf (ep.start + ep.len) chunk_len with
     | 0 -> true
     | n ->
-        ep.pending <- ep.pending ^ Bytes.sub_string chunk 0 n;
+        ep.len <- ep.len + n;
         loop ()
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
         false
@@ -61,35 +83,29 @@ let drain_into ep =
   loop ()
 
 let frame_len_opt ep =
-  let n = String.length ep.pending in
-  if n < header_bytes then None
+  if ep.len < header_bytes then None
   else
-    let len = be32_get ep.pending 0 in
+    let hi = Bytes.get_uint16_be ep.buf ep.start in
+    let len = (hi lsl 16) lor Bytes.get_uint16_be ep.buf (ep.start + 2) in
     if len > max_frame then raise (Oversized len) else Some len
-
-let read_frame ep =
-  match frame_len_opt ep with
-  | None -> None
-  | Some len ->
-      let n = String.length ep.pending in
-      if n < header_bytes + len then None
-      else begin
-        let payload = String.sub ep.pending header_bytes len in
-        ep.pending <-
-          String.sub ep.pending (header_bytes + len)
-            (n - header_bytes - len);
-        Some payload
-      end
 
 let has_frame ep =
   match frame_len_opt ep with
   | None -> false
-  | Some len -> String.length ep.pending >= header_bytes + len
+  | Some len -> ep.len >= header_bytes + len
+
+let read_frame ep =
+  match frame_len_opt ep with
+  | Some len when ep.len >= header_bytes + len ->
+      let payload = Bytes.sub_string ep.buf (ep.start + header_bytes) len in
+      ep.start <- ep.start + header_bytes + len;
+      ep.len <- ep.len - header_bytes - len;
+      if Int.equal ep.len 0 then ep.start <- 0;
+      Some payload
+  | Some _ | None -> None
 
 let write_frame t ep payload =
-  let len = String.length payload in
-  if len > max_frame then raise (Oversized len);
-  let data = Bytes.cat (be32_put len) (Bytes.of_string payload) in
+  let data = frame payload in
   let total = Bytes.length data in
   let pos = ref 0 in
   while !pos < total do
@@ -100,8 +116,8 @@ let write_frame t ep payload =
            use the reader lives in this very process, so drain both
            inbound buffers while we wait — otherwise a large in-flight
            payload deadlocks against our own unread data. *)
-        ignore (drain_into t.c2s);
-        if not t.single then ignore (drain_into t.s2c);
+        ignore (fill t.c2s);
+        if not t.single then ignore (fill t.s2c);
         (match Unix.select [] [ ep.write_fd ] [] 0.05 with
         | _ -> ()
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
@@ -146,7 +162,7 @@ let session_recv t dir =
   match read_frame ep with
   | Some _ as f -> noted f
   | None ->
-      let eof = drain_into ep in
+      let eof = fill ep in
       let f = read_frame ep in
       (match f with
       | Some _ -> noted f
@@ -165,12 +181,12 @@ let of_socketpair ?latency_s ?bandwidth_bps () =
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (* [a] is the client's end, [b] the server's: client-to-server frames
      enter at [a] and leave at [b], and symmetrically. *)
-  let c2s = { write_fd = a; read_fd = b; pending = "" } in
-  let s2c = { write_fd = b; read_fd = a; pending = "" } in
+  let c2s = new_endpoint ~write_fd:a ~read_fd:b in
+  let s2c = new_endpoint ~write_fd:b ~read_fd:a in
   make ~latency_s ~bandwidth_bps ~c2s ~s2c ~single:false ~owned:[ a; b ]
 
 let of_fd ?latency_s ?bandwidth_bps fd =
-  let ep = { write_fd = fd; read_fd = fd; pending = "" } in
+  let ep = new_endpoint ~write_fd:fd ~read_fd:fd in
   make ~latency_s ~bandwidth_bps ~c2s:ep ~s2c:ep ~single:true ~owned:[ fd ]
 
 let channel t = t.ch
@@ -184,10 +200,56 @@ let wait_readable t dir ~timeout_s =
     | _ -> true
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
 
+let close_quietly fd =
+  match Unix.close fd with () -> () | exception Unix.Unix_error _ -> ()
+
 let close t =
   if not t.closed then begin
     t.closed <- true;
-    List.iter
-      (fun fd -> match Unix.close fd with () -> () | exception Unix.Unix_error _ -> ())
-      t.owned
+    List.iter close_quietly t.owned
   end
+
+(* ---- TCP setup: the only place a TCP socket is made ---- *)
+
+(* A server turn is often two frames (File_begin, then Hashes) written
+   one after the other.  With Nagle's algorithm on, the kernel holds the
+   second until the first is ACKed, and the peer delays that ACK (40 ms
+   or more on Linux): every such turn would stall.  So every TCP fd,
+   dialed or accepted, gets TCP_NODELAY here.  An accepted socket
+   inheriting the option from its listener is Linux-only behaviour, so
+   [accept] sets it again. *)
+let nodelay fd =
+  match Unix.setsockopt fd Unix.TCP_NODELAY true with
+  | () -> fd
+  | exception e ->
+      close_quietly fd;
+      raise e
+
+let connect ~host ~port =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  match
+    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port))
+  with
+  | () -> nodelay fd
+  | exception e ->
+      close_quietly fd;
+      raise e
+
+let listen ~host ~port =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  match
+    Unix.setsockopt fd Unix.SO_REUSEADDR true;
+    Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
+    Unix.listen fd 16;
+    Unix.set_nonblock fd;
+    Unix.getsockname fd
+  with
+  | Unix.ADDR_INET (_, bound) -> (fd, bound)
+  | Unix.ADDR_UNIX _ -> (fd, port)
+  | exception e ->
+      close_quietly fd;
+      raise e
+
+let accept listener =
+  let fd, _ = Unix.accept listener in
+  nodelay fd

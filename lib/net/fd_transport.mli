@@ -62,3 +62,51 @@ val wait_readable : t -> Channel.direction -> timeout_s:float -> bool
 
 val close : t -> unit
 (** Close the owned fd(s); idempotent. *)
+
+(** {1 Framing for event loops}
+
+    The daemon's non-blocking connections ([Fsync_server.Conn]) frame
+    and reassemble with these rather than keep a copy. *)
+
+val frame : string -> Bytes.t
+(** The payload behind its {!header_bytes} length prefix, ready to write.
+    @raise Oversized past {!max_frame}. *)
+
+type reader
+(** The receive side of one non-blocking fd: bytes read but not yet
+    framed out, in one buffer kept for the reader's lifetime. *)
+
+val reader : Unix.file_descr -> reader
+
+val fill : reader -> bool
+(** Read everything available now without blocking; true iff the peer
+    closed its end. *)
+
+val read_frame : reader -> string option
+(** The next complete buffered frame, if any.
+    @raise Oversized when a buffered header declares more than
+    {!max_frame}. *)
+
+(** {1 TCP setup}
+
+    Every TCP socket in the library is made here, so each one gets
+    [TCP_NODELAY]: a turn of the protocol can be two frames written
+    back to back, and with Nagle's algorithm on the second would wait
+    for the peer's delayed ACK (DESIGN.md §10, "Latency").  Each
+    function closes the socket it made before re-raising a failure. *)
+
+val connect : host:string -> port:int -> Unix.file_descr
+(** A blocking TCP connection to [host] (numeric, e.g. ["127.0.0.1"])
+    and [port], with [TCP_NODELAY] set.  Hand it to {!of_fd}.
+    @raise Unix.Unix_error when the connection fails. *)
+
+val listen : host:string -> port:int -> Unix.file_descr * int
+(** A non-blocking listener bound to [host] and [port] with
+    [SO_REUSEADDR], and the port it is bound to (useful with port [0]).
+    @raise Unix.Unix_error on bind failure. *)
+
+val accept : Unix.file_descr -> Unix.file_descr
+(** The next pending connection on a {!listen}er, with [TCP_NODELAY]
+    set on it (accepted sockets inherit the option only on Linux).
+    @raise Unix.Unix_error as [Unix.accept] does ([EAGAIN] when none is
+    pending). *)

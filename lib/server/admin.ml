@@ -9,21 +9,8 @@ module Fd_transport = Fsync_net.Fd_transport
 module Error = Fsync_core.Error
 module Monotonic = Fsync_obs.Monotonic
 
-let connect ~host ~port =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  match
-    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port))
-  with
-  | () -> fd
-  | exception e ->
-      (match Unix.close fd with
-      | () -> ()
-      | exception Unix.Unix_error _ -> ());
-      raise e
-
 let request ?(timeout_s = 5.0) ~host ~port body =
-  let fd = connect ~host ~port in
-  let tr = Fd_transport.of_fd fd in
+  let tr = Fd_transport.of_fd (Fd_transport.connect ~host ~port) in
   let ch = Fd_transport.channel tr in
   let go () =
     Channel.send ch ~label:"admin" Channel.Client_to_server body;

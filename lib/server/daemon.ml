@@ -5,6 +5,7 @@ module Json = Fsync_obs.Json
 module Trace_id = Fsync_obs.Trace_id
 module Monotonic = Fsync_obs.Monotonic
 module Trace = Fsync_net.Trace
+module Fd_transport = Fsync_net.Fd_transport
 module Store = Fsync_store.Store
 module Sig_persist = Fsync_store.Sig_persist
 module Chunker = Fsync_cdc.Chunker
@@ -201,26 +202,13 @@ let json_trace c =
   | Some id -> Json.String (Trace_id.to_hex id)
   | None -> Json.Null
 
-let bind_listener ~host ~port =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt fd Unix.SO_REUSEADDR true;
-  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
-  Unix.listen fd 16;
-  Unix.set_nonblock fd;
-  let bound =
-    match Unix.getsockname fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | Unix.ADDR_UNIX _ -> port
-  in
-  (fd, bound)
-
 let listen t ~host ~port =
-  let fd, bound = bind_listener ~host ~port in
+  let fd, bound = Fd_transport.listen ~host ~port in
   t.listener <- Some fd;
   bound
 
 let admin_listen t ~host ~port =
-  let fd, bound = bind_listener ~host ~port in
+  let fd, bound = Fd_transport.listen ~host ~port in
   t.admin_listener <- Some fd;
   bound
 
@@ -316,8 +304,8 @@ let shed_connection t fd =
 let accept_ready t ~admit fd =
   let continue = ref true in
   while !continue && not t.stop do
-    match Unix.accept fd with
-    | client_fd, _ -> admit t client_fd
+    match Fd_transport.accept fd with
+    | client_fd -> admit t client_fd
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
         continue := false
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()

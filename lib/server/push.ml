@@ -6,6 +6,7 @@ module Trace = Fsync_net.Trace
 module Prng = Fsync_util.Prng
 module Scope = Fsync_obs.Scope
 module Trace_id = Fsync_obs.Trace_id
+module Monotonic = Fsync_obs.Monotonic
 
 type outcome = {
   stats : Pusher.stats;
@@ -15,21 +16,8 @@ type outcome = {
   backoff_s : float;
 }
 
-let connect ~host ~port =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  match
-    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port))
-  with
-  | () -> fd
-  | exception e ->
-      (match Unix.close fd with
-      | () -> ()
-      | exception Unix.Unix_error _ -> ());
-      raise e
-
 let attempt ?fault ?seed ~idle_timeout_s ~host ~port pusher =
-  let fd = connect ~host ~port in
-  let tr = Fd_transport.of_fd fd in
+  let tr = Fd_transport.of_fd (Fd_transport.connect ~host ~port) in
   let ch = Fd_transport.channel tr in
   (match fault with
   | Some spec -> ignore (Fault.attach ?seed ch spec)
@@ -42,16 +30,16 @@ let attempt ?fault ?seed ~idle_timeout_s ~host ~port pusher =
   in
   let go () =
     send (Pusher.start pusher);
-    let deadline = ref (Unix.gettimeofday () +. idle_timeout_s) in
+    let deadline = ref (Monotonic.now () +. idle_timeout_s) in
     while not (Pusher.finished pusher) do
-      if Unix.gettimeofday () > !deadline then
+      if Monotonic.now () > !deadline then
         Error.fail
           (Error.Channel_empty
              (Printf.sprintf "Push: no server reply within %.1f s"
                 idle_timeout_s));
       match Channel.recv_opt ch Channel.Server_to_client with
       | Some frame ->
-          deadline := Unix.gettimeofday () +. idle_timeout_s;
+          deadline := Monotonic.now () +. idle_timeout_s;
           send (Pusher.on_message pusher frame)
       | None ->
           ignore

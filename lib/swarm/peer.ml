@@ -6,6 +6,7 @@ module Sigcache = Fsync_server.Sigcache
 module Msg = Fsync_server.Msg
 module Error = Fsync_core.Error
 module Scope = Fsync_obs.Scope
+module Monotonic = Fsync_obs.Monotonic
 module Trace = Fsync_net.Trace
 
 (* ---- the serving side: a small select loop ---- *)
@@ -93,15 +94,9 @@ let stats t =
   }
 
 let listen t ~host ~port =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt fd Unix.SO_REUSEADDR true;
-  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
-  Unix.listen fd 16;
-  Unix.set_nonblock fd;
+  let fd, bound = Fd_transport.listen ~host ~port in
   t.listener <- Some fd;
-  match Unix.getsockname fd with
-  | Unix.ADDR_INET (_, p) -> p
-  | Unix.ADDR_UNIX _ -> port
+  bound
 
 let add_connection t fd =
   t.accepted <- t.accepted + 1;
@@ -109,7 +104,7 @@ let add_connection t fd =
     {
       conn = Conn.create ~max_outbox:t.config.max_outbox fd;
       handler = Waiting;
-      last_activity = Unix.gettimeofday ();
+      last_activity = Monotonic.now ();
       failing = false;
     }
     :: t.conns
@@ -140,7 +135,7 @@ let dispatch t c frame =
   | _ -> Error.malformed "Peer: expected Hello as the opening frame"
 
 let feed t c frame =
-  c.last_activity <- Unix.gettimeofday ();
+  c.last_activity <- Monotonic.now ();
   match c.handler with
   | Waiting -> dispatch t c frame
   | Swarm g -> Gossip.Responder.on_message g frame
@@ -222,8 +217,8 @@ let step ?(timeout_s = 0.05) t =
       | Some fd when is_ready ready_r fd ->
           let continue = ref true in
           while !continue && not t.stop do
-            match Unix.accept fd with
-            | client_fd, _ -> add_connection t client_fd
+            match Fd_transport.accept fd with
+            | client_fd -> add_connection t client_fd
             | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
               ->
                 continue := false
@@ -246,7 +241,7 @@ let step ?(timeout_s = 0.05) t =
           if is_ready ready_w (Conn.fd c.conn) then Conn.handle_writable c.conn)
         writable
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-  reap t (Unix.gettimeofday ())
+  reap t (Monotonic.now ())
 
 let request_stop t = t.stop <- true
 
@@ -273,37 +268,24 @@ let run ?timeout_s t =
 
 (* ---- the dialing side ---- *)
 
-let connect ~host ~port =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  match
-    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port))
-  with
-  | () -> fd
-  | exception e ->
-      (match Unix.close fd with
-      | () -> ()
-      | exception Unix.Unix_error _ -> ());
-      raise e
-
 let drive ~idle_timeout_s ~host ~port ~start ~on_message ~finished ~what =
-  let fd = connect ~host ~port in
-  let tr = Fd_transport.of_fd fd in
+  let tr = Fd_transport.of_fd (Fd_transport.connect ~host ~port) in
   let ch = Fd_transport.channel tr in
   let send frames =
     List.iter (fun m -> Channel.send ch Channel.Client_to_server m) frames
   in
   let go () =
     send start;
-    let deadline = ref (Unix.gettimeofday () +. idle_timeout_s) in
+    let deadline = ref (Monotonic.now () +. idle_timeout_s) in
     while not (finished ()) do
-      if Unix.gettimeofday () > !deadline then
+      if Monotonic.now () > !deadline then
         Error.fail
           (Error.Channel_empty
              (Printf.sprintf "Peer: no %s reply within %.1f s" what
                 idle_timeout_s));
       match Channel.recv_opt ch Channel.Server_to_client with
       | Some frame ->
-          deadline := Unix.gettimeofday () +. idle_timeout_s;
+          deadline := Monotonic.now () +. idle_timeout_s;
           send (on_message frame)
       | None ->
           ignore

@@ -230,6 +230,117 @@ let test_fd_transport_closed () =
   Alcotest.check_raises "send after close" Fd_transport.Closed (fun () ->
       Channel.send ch ~label:"t" Channel.Client_to_server "x")
 
+(* Receive every frame the peer sends until [n] have arrived. *)
+let recv_n tr n =
+  let ch = Fd_transport.channel tr in
+  let rec go acc =
+    if List.length acc >= n then List.rev acc
+    else
+      match Channel.recv_opt ch Channel.Server_to_client with
+      | Some f -> go (f :: acc)
+      | None ->
+          if
+            not
+              (Fd_transport.wait_readable tr Channel.Server_to_client
+                 ~timeout_s:5.0)
+          then Alcotest.failf "only %d of %d frames arrived" (List.length acc) n;
+          go acc
+  in
+  go []
+
+let test_fd_transport_tcp_nodelay () =
+  (* Every TCP fd made through Fd_transport has Nagle's algorithm off,
+     the dialed end and the accepted end alike; without it the second
+     frame of a two-frame turn waits for the peer's delayed ACK. *)
+  let listener, port = Fd_transport.listen ~host:"127.0.0.1" ~port:0 in
+  let dialed = Fd_transport.connect ~host:"127.0.0.1" ~port in
+  ignore (Unix.select [ listener ] [] [] 5.0);
+  let accepted = Fd_transport.accept listener in
+  Unix.close listener;
+  Alcotest.(check bool) "dialed fd" true
+    (Unix.getsockopt dialed Unix.TCP_NODELAY);
+  Alcotest.(check bool) "accepted fd" true
+    (Unix.getsockopt accepted Unix.TCP_NODELAY);
+  let client = Fd_transport.of_fd dialed in
+  let server = Fd_transport.of_fd accepted in
+  Fun.protect
+    ~finally:(fun () ->
+      Fd_transport.close client;
+      Fd_transport.close server)
+    (fun () ->
+      let turn = [ "file begin"; String.make 3000 'h' ] in
+      List.iter
+        (Channel.send (Fd_transport.channel client) ~label:"t"
+           Channel.Client_to_server)
+        turn;
+      Alcotest.(check (list string)) "c2s burst" turn (recv_n server 2);
+      List.iter
+        (Channel.send (Fd_transport.channel server) ~label:"t"
+           Channel.Server_to_client)
+        turn;
+      Alcotest.(check (list string)) "s2c burst" turn (recv_n client 2))
+
+let test_fd_transport_chunked_frames () =
+  (* The twin of the server's conn chunked-frames test: a 200 KB frame
+     and a small one, written in 8 KB pieces, reassemble byte-identically
+     through one endpoint's receive buffer. *)
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let tr = Fd_transport.of_fd b in
+  let ch = Fd_transport.channel tr in
+  let frame s =
+    let len = String.length s in
+    String.init 4 (fun i -> Char.chr ((len lsr (8 * (3 - i))) land 0xff)) ^ s
+  in
+  let big = String.init 200_000 (fun i -> Char.chr (i mod 251)) in
+  let small = "tiny" in
+  let raw = frame big ^ frame small in
+  let frames = ref [] in
+  let drain () =
+    let rec go () =
+      match Channel.recv_opt ch Channel.Server_to_client with
+      | Some f ->
+          frames := !frames @ [ f ];
+          go ()
+      | None -> ()
+    in
+    go ()
+  in
+  let pos = ref 0 in
+  while !pos < String.length raw do
+    let n = min 8192 (String.length raw - !pos) in
+    pos := !pos + Unix.write_substring a raw !pos n;
+    drain ()
+  done;
+  drain ();
+  (match !frames with
+  | [ f1; f2 ] ->
+      Alcotest.(check string) "big frame intact" big f1;
+      Alcotest.(check string) "small frame intact" small f2
+  | fs -> Alcotest.failf "expected 2 frames, got %d" (List.length fs));
+  Alcotest.(check int) "accounting"
+    (String.length raw)
+    (Channel.bytes ch Channel.Server_to_client);
+  Fd_transport.close tr;
+  Unix.close a
+
+let test_fd_transport_idle_polls_do_not_allocate () =
+  (* Polling an idle connection reuses the endpoint's receive buffer:
+     a hundred empty receives allocate far less than one 64 KiB read
+     chunk each. *)
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let tr = Fd_transport.of_fd b in
+  let ch = Fd_transport.channel tr in
+  let before = Gc.allocated_bytes () in
+  for _ = 1 to 100 do
+    ignore (Channel.recv_opt ch Channel.Server_to_client)
+  done;
+  let spent = Gc.allocated_bytes () -. before in
+  Fd_transport.close tr;
+  Unix.close a;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f bytes for 100 idle polls" spent)
+    true (spent < 65536.0)
+
 let suite =
   [
     ("byte counters", `Quick, test_byte_counters);
@@ -247,4 +358,9 @@ let suite =
     ("fd transport framing", `Quick, test_fd_transport_framing);
     ("fd transport faults", `Quick, test_fd_transport_faults);
     ("fd transport closed", `Quick, test_fd_transport_closed);
+    ("fd transport tcp nodelay", `Quick, test_fd_transport_tcp_nodelay);
+    ("fd transport chunked frames", `Quick, test_fd_transport_chunked_frames);
+    ( "fd transport idle polls do not allocate",
+      `Quick,
+      test_fd_transport_idle_polls_do_not_allocate );
   ]

@@ -60,13 +60,16 @@ let lident_path (id : Longident.t) =
      call sites. *)
   String.concat "." (Longident.flatten id)
 
-(* R6: calls that mint a resource the caller must release. *)
+(* R6: calls that mint a resource the caller must release.  TCP fds
+   come from Fd_transport (R10), so its constructors are tracked too. *)
 let acquisition = function
   | "Unix.openfile" | "Unix.socket" | "Unix.accept" | "Unix.opendir"
   | "Unix.socketpair" | "Unix.dup" | "open_in" | "open_in_bin"
   | "open_in_gen" | "open_out" | "open_out_bin" | "open_out_gen"
   | "Stdlib.open_in" | "Stdlib.open_in_bin" | "Stdlib.open_out"
-  | "Stdlib.open_out_bin" ->
+  | "Stdlib.open_out_bin" | "Fd_transport.connect" | "Fd_transport.listen"
+  | "Fd_transport.accept" | "Fsync_net.Fd_transport.connect"
+  | "Fsync_net.Fd_transport.listen" | "Fsync_net.Fd_transport.accept" ->
       true
   | _ -> false
 

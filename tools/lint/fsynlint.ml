@@ -17,8 +17,8 @@ let usage =
   "fsynlint — repo-specific static analysis with a baseline ratchet\n\n\
    usage: fsynlint [options] [roots...]\n\n\
    Parses every .ml/.mli under the roots (default: lib bin bench) and\n\
-   enforces the syntactic rules R1-R5 plus the R6-R9 dataflow rules\n\
-   (see --explain).  Findings are compared against the baseline\n\
+   enforces the syntactic rules R1-R5 and R10 plus the R6-R9 dataflow\n\
+   rules (see --explain).  Findings are compared against the baseline\n\
    (default: tools/lint/baseline.txt): new violations and stale\n\
    baseline entries fail the run.\n\n\
    options:\n\

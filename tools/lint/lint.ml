@@ -20,12 +20,12 @@
 (* Rules and findings (vocabulary lives in {!Rule})                    *)
 (* ------------------------------------------------------------------ *)
 
-(* R1-R5 are the syntactic rules implemented below; R6-R9 are the
-   dataflow rules implemented in {!Dataflow}.  Both passes share the
+(* R1-R5 and R10 are the syntactic rules implemented below; R6-R9 are
+   the dataflow rules implemented in {!Dataflow}.  Both passes share the
    rule identifiers, rationale text and finding record from {!Rule};
    the re-export keeps this module the single public face. *)
 
-type rule = Rule.t = R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8 | R9
+type rule = Rule.t = R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8 | R9 | R10
 
 let all_rules = Rule.all
 let rule_name = Rule.name
@@ -94,13 +94,20 @@ let decode_modules =
     "lib/collection/meta_wire.ml"; "lib/swarm/swarm_wire.ml";
     "lib/swarm/version_vector.ml"; "lib/swarm/replica.ml" ]
 
+(* R10: TCP sockets are made only behind Fd_transport's TCP_NODELAY
+   setup; test/ and bench/ build their own probes and stay out. *)
+let tcp_setup_checked path =
+  (in_lib path || starts_with ~prefix:"bin/" path)
+  && not (String.equal path "lib/net/fd_transport.ml")
+
 let rules_for path =
   (if is_wire_sensitive path then [ R1; R5 ] else [])
   @ (if in_lib path then [ R2; R3; R4 ] else [])
   @ (if in_bin_or_bench path then [ R1; R2 ] else [])
   @ (if in_lib path || in_bin_or_bench path then [ R6; R7 ] else [])
   @ (if List.exists (String.equal path) event_loop_files then [ R8 ] else [])
-  @ if io_mediated path then [ R9 ] else []
+  @ (if io_mediated path then [ R9 ] else [])
+  @ if tcp_setup_checked path then [ R10 ] else []
 
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)
@@ -187,6 +194,16 @@ let r3_ident (id : Longident.t) =
       Some (m ^ "." ^ n)
   | _ -> None
 
+(* R10: the calls that make a TCP socket by hand. *)
+let r10_ident (id : Longident.t) =
+  match id with
+  | Ldot
+      ( Lident (("Unix" | "UnixLabels") as m),
+        (( "socket" | "connect" | "bind" | "accept" | "open_connection"
+         | "establish_server" ) as n) ) ->
+      Some (m ^ "." ^ n)
+  | _ -> None
+
 (* ------------------------------------------------------------------ *)
 (* Suppression                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -247,6 +264,15 @@ let scan_structure ~path (str : structure) =
     | Ppat_var { txt; _ } -> top_names := (txt, vb.pvb_pat.ppat_loc) :: !top_names
     | _ -> ()
   in
+  let r10 txt loc =
+    match r10_ident txt with
+    | Some n ->
+        add R10 loc
+          (Printf.sprintf
+             "`%s` makes a TCP socket by hand — use \
+              Fd_transport.connect/listen/accept, which set TCP_NODELAY" n)
+    | None -> ()
+  in
   let super = Ast_iterator.default_iterator in
   let expr (it : Ast_iterator.iterator) (e : expression) =
     with_allows e.pexp_attributes @@ fun () ->
@@ -255,7 +281,8 @@ let scan_structure ~path (str : structure) =
         ({ pexp_desc = Pexp_ident { txt; loc }; _ }, args)
       when r1_ident txt <> None
            || r2_ident txt <> None
-           || r3_ident txt <> None -> (
+           || r3_ident txt <> None
+           || r10_ident txt <> None -> (
         (match (r1_ident txt, args) with
         | Some (("=" | "<>") as n), [ (_, a); (_, b) ]
           when immediate_literal a || immediate_literal b ->
@@ -290,6 +317,7 @@ let scan_structure ~path (str : structure) =
                  "`%s` writes directly to the console — route library \
                   output through Trace" n)
         | None -> ());
+        r10 txt loc;
         (* The callee ident was judged above; only the operands recurse. *)
         List.iter (fun (_, a) -> it.expr it a) args)
     | Pexp_ident { txt; loc } ->
@@ -313,7 +341,8 @@ let scan_structure ~path (str : structure) =
               (Printf.sprintf
                  "`%s` writes directly to the console — route library \
                   output through Trace" n)
-        | None -> ())
+        | None -> ());
+        r10 txt loc
     | Pexp_assert
         { pexp_desc = Pexp_construct ({ txt = Lident "false"; _ }, None); _ }
       ->

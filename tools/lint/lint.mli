@@ -2,12 +2,12 @@
 
     Parses [.ml]/[.mli] files with compiler-libs and enforces the repo's
     wire-determinism and crash-safety invariants: syntactic rules R1–R5
-    plus the R6–R9 dataflow rules (resource leaks, tainted wire lengths,
-    event-loop blocking, Io-mediated syscalls) implemented in
-    {!Dataflow}.  Findings are diffed against a checked-in baseline
+    and R10 (TCP setup only in [Fd_transport]) plus the R6–R9 dataflow
+    rules (resource leaks, tainted wire lengths, event-loop blocking,
+    Io-mediated syscalls) implemented in {!Dataflow}.  Findings are diffed against a checked-in baseline
     ratchet.  See DESIGN.md §8. *)
 
-type rule = Rule.t = R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8 | R9
+type rule = Rule.t = R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8 | R9 | R10
 
 val all_rules : rule list
 val rule_name : rule -> string

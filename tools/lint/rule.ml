@@ -2,15 +2,16 @@
    dataflow engine ({!Dataflow}): identifiers, rationale text, and the
    finding record both passes produce.
 
-   R1-R5 are syntactic (pattern matching on the Parsetree); R6-R9 are
-   dataflow rules (per-function environments tracking acquired
-   resources, wire-tainted integers, and call context).  Each rule
+   R1-R5 and R10 are syntactic (pattern matching on the Parsetree);
+   R6-R9 are dataflow rules (per-function environments tracking
+   acquired resources, wire-tainted integers, and call context).  Each
+   rule
    machine-checks an invariant that was once restored by hand in a
    reviewed bug fix — the rationale strings name the incident. *)
 
-type t = R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8 | R9
+type t = R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8 | R9 | R10
 
-let all = [ R1; R2; R3; R4; R5; R6; R7; R8; R9 ]
+let all = [ R1; R2; R3; R4; R5; R6; R7; R8; R9; R10 ]
 
 let name = function
   | R1 -> "R1"
@@ -22,6 +23,7 @@ let name = function
   | R7 -> "R7"
   | R8 -> "R8"
   | R9 -> "R9"
+  | R10 -> "R10"
 
 let of_name s =
   match String.lowercase_ascii s with
@@ -34,6 +36,7 @@ let of_name s =
   | "r7" -> Some R7
   | "r8" -> Some R8
   | "r9" -> Some R9
+  | "r10" -> Some R10
   | _ -> None
 
 let equal a b = String.equal (name a) (name b)
@@ -73,7 +76,7 @@ let explain = function
   | R6 ->
       "R6 resource-leak: a file descriptor or channel acquired with \
        `Unix.openfile`/`socket`/`accept`/`opendir`/`open_in*`/`open_out*` \
-       must reach its close call on every control-flow path, be protected \
+       or `Fd_transport.connect`/`listen`/`accept` must reach its close call on every control-flow path, be protected \
        by `Fun.protect ~finally`, or be handed off to an owner (returned, \
        stored, or passed to a wrapper that takes ownership).  A branch — \
        especially an error branch — that drops the value leaks one fd per \
@@ -110,6 +113,22 @@ let explain = function
        harness) can only prove crash safety for syscalls it can \
        intercept; a raw call is an untested crash window.  `lib/store/ \
        io.ml` itself is the sanctioned boundary and is exempt."
+  | R10 ->
+      "R10 tcp-setup: in `lib/` and `bin/`, `Unix.socket`, `Unix.connect`, \
+       `Unix.bind`, `Unix.accept`, `Unix.open_connection` and \
+       `Unix.establish_server` appear only in `lib/net/fd_transport.ml`; \
+       everything else dials with `Fd_transport.connect`, listens with \
+       `Fd_transport.listen` and accepts with `Fd_transport.accept`, which \
+       set `TCP_NODELAY` on every TCP fd.  (`Unix.socketpair` makes no TCP \
+       socket and stays allowed.)  A server turn is often two frames \
+       written back to back (`File_begin`, then `Hashes`); with Nagle's \
+       algorithm on, the kernel holds the second until the first is \
+       ACKed, and the client delays that ACK by at least 40 ms.  The \
+       benchmark's first record (bench/perf) caught the stall: pulls and \
+       gossip spent 86-97% of their loopback wall time waiting on TCP, \
+       about 42 ms per two-frame turn, because four private `connect` \
+       copies and two listeners each made their sockets by hand and none \
+       set the option."
 
 type finding = { rule : t; file : string; line : int; col : int; msg : string }
 

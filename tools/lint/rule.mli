@@ -1,8 +1,8 @@
 (** The rule vocabulary shared by the syntactic pass ({!Lint}) and the
-    dataflow engine ({!Dataflow}).  R1-R5 are syntactic; R6-R9 are
-    dataflow rules.  See DESIGN.md §8. *)
+    dataflow engine ({!Dataflow}).  R1-R5 and R10 are syntactic; R6-R9
+    are dataflow rules.  See DESIGN.md §8. *)
 
-type t = R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8 | R9
+type t = R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8 | R9 | R10
 
 val all : t list
 val name : t -> string

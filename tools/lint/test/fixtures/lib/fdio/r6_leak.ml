@@ -23,3 +23,10 @@ let probe path =
 let maybe_close cond path =
   let ic = open_in_bin path in
   if cond then close_in ic else ()
+
+(* Dialed through Fd_transport, then dropped when the write fails. *)
+let ping ~host ~port =
+  let fd = Fd_transport.connect ~host ~port in
+  match Unix.write fd payload 0 (Bytes.length payload) with
+  | _ -> Unix.close fd
+  | exception Unix.Unix_error (Unix.EPIPE, _, _) -> ()

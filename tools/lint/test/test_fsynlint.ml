@@ -64,9 +64,10 @@ let test_r3_suppression_attribute () =
 
 let test_r6_flags_leaks () =
   (* Line 7: the PR-5 peer-gone shape (error arm of a try drops the
-     accepted fd); line 18: never closed; line 24: one branch only. *)
-  check_lines "three R6 findings at known lines" Lint.R6 "lib/fdio/r6_leak.ml"
-    [ 7; 18; 24 ]
+     accepted fd); line 18: never closed; line 24: one branch only;
+     line 29: an Fd_transport.connect fd dropped on the error arm. *)
+  check_lines "four R6 findings at known lines" Lint.R6 "lib/fdio/r6_leak.ml"
+    [ 7; 18; 24; 29 ]
 
 let test_r6_true_negatives () =
   (* Fun.protect ~finally, close-on-every-path (including the handler),
@@ -130,6 +131,19 @@ let test_r9_covers_collection () =
   check_lines "lib/collection is in scope" Lint.R9 "lib/collection/meta.ml"
     [ 3 ]
 
+(* ---- rule R10: TCP setup only in Fd_transport ---- *)
+
+let test_r10_flags_tcp_setup () =
+  (* socket+connect, socket+bind, accept, open_connection, and connect
+     passed as a value. *)
+  check_lines "seven R10 findings at known lines" Lint.R10
+    "lib/server/r10_bad.ml" [ 4; 5; 9; 10; 13; 15; 17 ]
+
+let test_r10_true_negatives () =
+  (* Fd_transport's connect/listen/accept and a socketpair are clean. *)
+  Alcotest.(check int) "no findings at all" 0
+    (List.length (findings_of "lib/server/r10_ok.ml"))
+
 (* ---- rule R4: missing interface ---- *)
 
 let test_r4_missing_mli () =
@@ -170,8 +184,8 @@ let test_bin_console_exempt () =
 let test_scan_discovers_recursively () =
   let fs = Lint.scan [ "lib"; "bin" ] in
   (* 6 R1 + (5+1+1) R2 + 2 R3 + 1 R4 + 2 R5
-     + 4 R6 + 2 R7 + 3 R8 + 5 R9 = 32 across the tree. *)
-  Alcotest.(check int) "total findings across the fixture tree" 32
+     + 5 R6 + 2 R7 + 3 R8 + 5 R9 + (7+1+2) R10 = 43 across the tree. *)
+  Alcotest.(check int) "total findings across the fixture tree" 43
     (List.length fs)
 
 (* ---- the baseline ratchet ---- *)
@@ -342,7 +356,7 @@ let test_rule_names_roundtrip () =
       | None -> Alcotest.fail "rule name did not parse back")
     Lint.all_rules;
   Alcotest.(check bool) "unknown rule rejected" true
-    (Option.is_none (Lint.rule_of_name "r10"))
+    (Option.is_none (Lint.rule_of_name "r11"))
 
 let test_scope_predicates () =
   let has r path = List.exists (Lint.rule_equal r) (Lint.rules_for path) in
@@ -375,7 +389,17 @@ let test_scope_predicates () =
   Alcotest.(check bool) "collection gets R9" true
     (has Lint.R9 "lib/collection/snapshot.ml");
   Alcotest.(check bool) "io.ml is the exempt boundary" false
-    (has Lint.R9 "lib/store/io.ml")
+    (has Lint.R9 "lib/store/io.ml");
+  (* R10 covers lib/ and bin/ except Fd_transport, the one place TCP
+     sockets are made; bench/ and test/ build their own probes. *)
+  Alcotest.(check bool) "pull gets R10" true (has Lint.R10 "lib/server/pull.ml");
+  Alcotest.(check bool) "bin gets R10" true (has Lint.R10 "bin/fsync.ml");
+  Alcotest.(check bool) "fd_transport.ml is the exempt boundary" false
+    (has Lint.R10 "lib/net/fd_transport.ml");
+  Alcotest.(check bool) "bench is outside R10" false
+    (has Lint.R10 "bench/perf/calib.ml");
+  Alcotest.(check bool) "test is outside R10" false
+    (has Lint.R10 "test/test_net.ml")
 
 let () =
   Alcotest.run "fsynlint"
@@ -403,6 +427,10 @@ let () =
             test_r5_symmetric_pair_clean;
           Alcotest.test_case "R5 scoped to wire libs" `Quick
             test_r5_not_applied_outside_wire_libs;
+          Alcotest.test_case "R10 flags tcp setup" `Quick
+            test_r10_flags_tcp_setup;
+          Alcotest.test_case "R10 true negatives" `Quick
+            test_r10_true_negatives;
         ] );
       ( "dataflow",
         [
